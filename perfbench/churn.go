@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash"
 	"math/rand"
-	"slices"
 
 	hetrta "repro"
 	"repro/internal/service"
@@ -17,22 +16,21 @@ import (
 	"repro/internal/taskset"
 )
 
-// Sizes of admit-churn at scale 1.
+// Sizes of admit-churn at scale 1. The chain's events get dearer as it
+// grows (see README.md), so the timed phase always runs the whole plan:
+// parent and change then time the same events.
 const (
-	churnSets     = 16   // resident sets, each with its own chain of events
-	churnResident = 32   // tasks in a resident set (DefaultChurn's floor)
-	churnMinSize  = 28   // the resident set drifts within [min, max]
-	churnMaxSize  = 36   //
+	churnResident = 32   // tasks in the resident set, as in DefaultChurn
 	churnPool     = 1024 // distinct graphs new tasks are drawn from
-	churnWarm     = 4096 // events walked in set-up
-	churnPlan     = 65536
-	churnRepeat   = 8  // one event in churnRepeat re-sends an earlier one
-	churnRecent   = 32 // how many events of its chain back a repeat reaches
-	churnSamples  = 16 // timed events re-checked against a full Admit
-	churnWindow   = 2048
+	churnWarm     = 2048 // chain events walked in set-up
+	churnPlan     = 6144
+	// Every third event re-sends the one before it, as cmd/dagrtaload
+	// repeats every third delta: a cache hit that leaves the set as is.
+	churnRepeatEvery = 3
+	churnSamples     = 16 // timed events re-checked against a full Admit
 	// churnMirror bounds the resulting sets a traced run keeps to replay
-	// admissions against; it must cover every base a repeat can name.
-	churnMirror = 2 * churnRecent * churnSets
+	// admissions against; each event's base is the latest of them.
+	churnMirror = 4
 )
 
 // Wire shapes of /v1/admit and /v1/admit/delta, as cmd/dagrtad reads them.
@@ -62,19 +60,32 @@ type wireUpdate struct {
 // churnEvent is one AdmitDelta request of the chain.
 type churnEvent struct {
 	input  int32                     // index of its body
-	repeat bool                      // re-sends an earlier event: a cache hit
+	kind   churnKind                 // what the event does to the set
+	repeat bool                      // re-sends the previous event: a cache hit
 	result hetrta.TasksetFingerprint // fingerprint of the resulting set
 }
 
-// churnBench is admit-churn: churnSets resident sets of about 32 tasks,
-// each with a chain of delta admissions applied to the set's previous
-// result. The chains take turns, one event each.
+// churnKind is what a fresh event does. Fresh events take turns:
+// DefaultChurn's alternating arrivals and departures, plus an update (a
+// departure and an arrival in one event) as a third turn, so the set
+// stays at 32 or 33 tasks.
+type churnKind uint8
+
+const (
+	arrival churnKind = iota
+	departure
+	update
+	nKinds
+)
+
+// churnBench is admit-churn: one resident set of 32 tasks and one chain of
+// delta admissions, each applied to the previous event's result.
 type churnBench struct {
 	base
 	scale float64
 
-	resident   [][]byte // /v1/admit bodies of the initial resident sets
-	residentFP []hetrta.TasksetFingerprint
+	resident   []byte // /v1/admit body of the initial resident set
+	residentFP hetrta.TasksetFingerprint
 	inputs     [][]byte     // /v1/admit/delta bodies, each distinct event once
 	events     []churnEvent // churnWarm warm-up events, then the timed plan
 	warm       int
@@ -111,6 +122,8 @@ func newChurnBench(scale float64) *churnBench {
 
 func (c *churnBench) planLen() int { return len(c.events) - c.warm }
 
+func (c *churnBench) wholePlan() bool { return true }
+
 // member is one resident task as the generator tracks it.
 type member struct {
 	t     hetrta.SporadicTask
@@ -138,49 +151,30 @@ func admitBody(set []member) ([]byte, error) {
 	return json.Marshal(req)
 }
 
-// chain is the generator's state of one resident set's chain.
-type chain struct {
-	cur    []member
-	curFP  hetrta.TasksetFingerprint
-	recent []past // its last churnRecent fresh events
-}
-
-type past struct {
-	ev  churnEvent
-	set []member
-}
-
 func (c *churnBench) generate(seed int64, _ string, h hash.Hash) error {
 	r := rand.New(rand.NewSource(seed))
 	params := taskgen.Small(10, 30)
-	seen := map[hetrta.TasksetFingerprint]bool{}
-	chains := make([]chain, churnSets)
-	for k := range chains {
-		// DefaultChurn's resident set: unit utilization, a quarter of the
-		// tasks offloading 30% of their volume, implicit deadlines.
-		init, err := taskset.Generate(taskset.TasksetParams{
-			N: churnResident, Util: 1, OffloadShare: 0.25, COffFrac: 0.3, Params: params,
-		}, seed+int64(k)<<32)
-		if err != nil {
-			return err
-		}
-		cur := make([]member, len(init.Tasks))
-		for i, t := range init.Tasks {
-			g, err := json.Marshal(t.G)
-			if err != nil {
-				return err
-			}
-			cur[i] = member{t: t, d: t.Digest(), graph: g}
-		}
-		body, err := admitBody(cur)
-		if err != nil {
-			return err
-		}
-		fp := fingerprintOf(cur)
-		c.resident, c.residentFP = append(c.resident, body), append(c.residentFP, fp)
-		chains[k] = chain{cur: cur, curFP: fp}
-		seen[fp] = true
+	// DefaultChurn's resident set: unit utilization, a quarter of the tasks
+	// offloading 30% of their volume, implicit deadlines.
+	init, err := taskset.Generate(taskset.TasksetParams{
+		N: churnResident, Util: 1, OffloadShare: 0.25, COffFrac: 0.3, Params: params,
+	}, seed)
+	if err != nil {
+		return err
 	}
+	cur := make([]member, len(init.Tasks))
+	for i, t := range init.Tasks {
+		g, err := json.Marshal(t.G)
+		if err != nil {
+			return err
+		}
+		cur[i] = member{t: t, d: t.Digest(), graph: g}
+	}
+	if c.resident, err = admitBody(cur); err != nil {
+		return err
+	}
+	c.residentFP = fingerprintOf(cur)
+	seen := map[hetrta.TasksetFingerprint]bool{c.residentFP: true}
 
 	gen, err := taskgen.New(params, seed+1)
 	if err != nil {
@@ -210,38 +204,40 @@ func (c *churnBench) generate(seed int64, _ string, h hash.Hash) error {
 	}
 
 	c.warm = scaled(churnWarm, c.scale)
-	total := c.warm + scaled(churnPlan, c.scale)
+	plan := scaled(churnPlan, c.scale)
 	sampled := map[int]bool{}
-	for _, k := range r.Perm(min(churnWindow, total-c.warm))[:min(churnSamples, total-c.warm)] {
+	for _, k := range r.Perm(plan)[:min(churnSamples, plan)] {
 		sampled[c.warm+k] = true
 	}
 	c.samples = map[int]int{}
-	for e := 0; e < total; e++ {
-		ch := &chains[e%churnSets]
-		if len(ch.recent) > 0 && r.Intn(churnRepeat) == 0 {
-			p := ch.recent[r.Intn(len(ch.recent))]
-			c.events = append(c.events, churnEvent{input: p.ev.input, repeat: true, result: p.ev.result})
-			ch.cur, ch.curFP = p.set, p.ev.result
+	curFP, fresh := c.residentFP, 0
+	for e := 0; e < c.warm+plan; e++ {
+		if e%churnRepeatEvery == churnRepeatEvery-1 {
+			prev := c.events[e-1]
+			prev.repeat = true
+			c.events = append(c.events, prev)
 		} else {
+			kind := churnKind(fresh % int(nKinds))
+			fresh++
 			var req wireDelta
 			var next []member
 			var nextFP hetrta.TasksetFingerprint
 			for {
-				req = wireDelta{Base: ch.curFP.String()}
-				next = append([]member(nil), ch.cur...)
+				req = wireDelta{Base: curFP.String()}
+				next = append([]member(nil), cur...)
 				k := r.Intn(len(next))
-				switch x := r.Float64(); {
-				case x < 0.2:
-					m := newTask()
-					req.Update = []wireUpdate{{Old: next[k].d.String(), Task: m.wire()}}
-					next[k] = m
-				case len(next) < churnMaxSize && (len(next) <= churnMinSize || x < 0.6):
+				switch kind {
+				case arrival:
 					m := newTask()
 					req.Add = []wireTask{m.wire()}
 					next = append(next, m)
-				default:
+				case departure:
 					req.Remove = []string{next[k].d.String()}
 					next = append(next[:k], next[k+1:]...)
+				case update:
+					m := newTask()
+					req.Update = []wireUpdate{{Old: next[k].d.String(), Task: m.wire()}}
+					next[k] = m
 				}
 				// A fresh event must lead to a set never admitted before,
 				// or it would be a cache hit the plan does not expect.
@@ -255,16 +251,11 @@ func (c *churnBench) generate(seed int64, _ string, h hash.Hash) error {
 			}
 			seen[nextFP] = true
 			c.inputs = append(c.inputs, body)
-			ev := churnEvent{input: int32(len(c.inputs) - 1), result: nextFP}
-			c.events = append(c.events, ev)
-			ch.recent = append(ch.recent, past{ev, next})
-			if len(ch.recent) > churnRecent {
-				ch.recent = ch.recent[1:]
-			}
-			ch.cur, ch.curFP = next, nextFP
+			c.events = append(c.events, churnEvent{input: int32(len(c.inputs) - 1), kind: kind, result: nextFP})
+			cur, curFP = next, nextFP
 		}
 		if sampled[e] {
-			body, err := admitBody(ch.cur)
+			body, err := admitBody(cur)
 			if err != nil {
 				return err
 			}
@@ -273,7 +264,7 @@ func (c *churnBench) generate(seed int64, _ string, h hash.Hash) error {
 		}
 	}
 
-	for _, in := range append(append(slices.Clone(c.resident), c.inputs...), c.sampleSets...) {
+	for _, in := range append(append([][]byte{c.resident}, c.inputs...), c.sampleSets...) {
 		binary.Write(h, binary.LittleEndian, int64(len(in)))
 		h.Write(in)
 	}
@@ -281,6 +272,23 @@ func (c *churnBench) generate(seed int64, _ string, h hash.Hash) error {
 		binary.Write(h, binary.LittleEndian, ev.input)
 	}
 	return nil
+}
+
+// mix describes the timed plan: the share of each kind of event.
+func (c *churnBench) mix() string {
+	var n [nKinds]int
+	repeats := 0
+	plan := c.events[c.warm:]
+	for _, ev := range plan {
+		if ev.repeat {
+			repeats++
+		} else {
+			n[ev.kind]++
+		}
+	}
+	pct := func(k int) float64 { return 100 * float64(k) / float64(len(plan)) }
+	return fmt.Sprintf("one chain of %d events after %d in set-up: arrivals %.1f%%, departures %.1f%%, updates %.1f%%, repeats of the previous event %.1f%%",
+		len(plan), c.warm, pct(n[arrival]), pct(n[departure]), pct(n[update]), pct(repeats))
 }
 
 // decodeAdmit parses a /v1/admit body as the daemon does.
@@ -363,27 +371,25 @@ func (c *churnBench) setUp(ctx context.Context, _ string, traced bool) error {
 		c.order = nil
 		c.evals = map[hetrta.TaskDigest]*hetrta.TaskEvalHandle{}
 	}
-	for k, body := range c.resident {
-		ts, err := decodeAdmit(body)
-		if err != nil {
-			return err
-		}
-		res, err := c.svc().Admit(ctx, ts)
-		if err != nil {
-			return err
-		}
-		if res.Hit || res.Fingerprint != c.residentFP[k] {
-			return fmt.Errorf("resident set %d admitted as %s (hit %t), want a fresh %s", k, res.Fingerprint, res.Hit, c.residentFP[k])
-		}
-		if traced {
-			canon, ds := ts.CanonicalWithDigests()
-			for i, d := range ds {
-				if c.evals[d], err = c.ta.PrepareTaskEval(canon.Tasks[i].G); err != nil {
-					return err
-				}
+	ts, err := decodeAdmit(c.resident)
+	if err != nil {
+		return err
+	}
+	res, err := c.svc().Admit(ctx, ts)
+	if err != nil {
+		return err
+	}
+	if res.Hit || res.Fingerprint != c.residentFP {
+		return fmt.Errorf("resident set admitted as %s (hit %t), want a fresh %s", res.Fingerprint, res.Hit, c.residentFP)
+	}
+	if traced {
+		canon, ds := ts.CanonicalWithDigests()
+		for i, d := range ds {
+			if c.evals[d], err = c.ta.PrepareTaskEval(canon.Tasks[i].G); err != nil {
+				return err
 			}
-			c.remember(res.Fingerprint, canon, ds)
 		}
+		c.remember(res.Fingerprint, canon, ds)
 	}
 	for e := 0; e < c.warm; e++ {
 		if err := c.execEvent(ctx, e, nil); err != nil {
@@ -546,7 +552,7 @@ func (c *churnBench) finish(ctx context.Context) (int, error) {
 	failed := 0
 	for k, served := range c.served {
 		if served == nil {
-			continue // the phase ended before this op
+			continue // the op failed before it was served
 		}
 		st, err := newStack(false, 0)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 
 	hetrta "repro"
+	"repro/internal/experiments"
 	"repro/internal/service"
 	"repro/internal/taskgen"
 )
@@ -24,16 +25,25 @@ import (
 const (
 	coldCache   = 1024 // report-cache entries of analyze-cold
 	coldPrefill = 1536 // 1.5x the cache, so every shard is full before timing
-	coldPlan    = 10240
+	coldPlan    = 16384
 
-	hotSet      = 3072 // hot graphs, all resident (the cache holds 4096)
-	hotVariants = 3    // isomorphic relabelings per hot graph
-	hotWarmOps  = 8192
-	hotPlan     = 1 << 19
-	// The zipf offset flattens the head, so that a few graphs do not carry
-	// most of the plan and the mix varies little from seed to seed.
-	hotZipfS = 1.1
-	hotZipfV = 64
+	// serve-hot replays the repeat and iso classes of cmd/dagrtaload's
+	// mix: a hot set of 12 graphs (its -hot default), each a
+	// Small(8,24).HetTask(0.15), drawn zipfian with s = 1.3 and offset 1,
+	// with 15 relabelings to every 55 exact repeats. hotTenants clients
+	// each replay that mix over a hot set of their own, one client picked
+	// uniformly per op, so the store log holds a few thousand records, all
+	// resident in the daemon's 4096-entry cache.
+	hotTenants   = 256
+	hotSet       = 12
+	hotOffload   = 0.15
+	hotZipfS     = 1.3
+	hotZipfV     = 1
+	hotRepeatPct = 55
+	hotIsoPct    = 15
+	hotVariants  = 3 // relabelings held per hot graph
+	hotWarmOps   = 8192
+	hotPlan      = 1 << 19
 
 	exactWarm = 1024
 	exactPlan = 40960
@@ -73,11 +83,38 @@ func scaled(n int, scale float64) int {
 
 func (b *graphBench) planLen() int { return len(b.plan) }
 
+func (b *graphBench) wholePlan() bool { return false }
+
+// mix describes the timed plan: for serve-hot, how its ops spread over
+// the hot graphs and their relabelings.
+func (b *graphBench) mix() string {
+	if b.name != "serve-hot" {
+		return fmt.Sprintf("%d distinct inputs, each sent once", len(b.plan))
+	}
+	forms := int32(1 + hotVariants)
+	relabeled, top := 0, 0
+	touched := map[int32]bool{}
+	for _, idx := range b.plan {
+		if idx%forms != 0 {
+			relabeled++
+		}
+		g := b.hotOf[idx]
+		if g%hotSet == 0 {
+			top++
+		}
+		touched[g] = true
+	}
+	pct := func(k int) float64 { return 100 * float64(k) / float64(len(b.plan)) }
+	graphs := len(b.hotOf) / int(forms)
+	return fmt.Sprintf("%d ops over %d clients' hot sets of %d: relabelings %.1f%%, a client's top graph %.1f%%, %d of %d hot graphs sent",
+		len(b.plan), graphs/hotSet, hotSet, pct(relabeled), pct(top), len(touched), graphs)
+}
+
 func (b *graphBench) generate(seed int64, dir string, h hash.Hash) error {
 	r := rand.New(rand.NewSource(seed))
 	switch b.name {
 	case "analyze-cold":
-		gen, err := taskgen.New(taskgen.Large(100, 400), seed)
+		gen, err := taskgen.New(experiments.Default(0).Params, seed)
 		if err != nil {
 			return err
 		}
@@ -114,10 +151,12 @@ func (b *graphBench) generate(seed int64, dir string, h hash.Hash) error {
 }
 
 // hetTasks appends n paper tasks with one offloaded node each, the
-// offloaded share of the volume uniform in [0.1, 0.6).
+// offloaded share of the volume drawn from the COff/vol targets the
+// paper's experiments sweep.
 func (b *graphBench) hetTasks(gen *taskgen.Generator, r *rand.Rand, n int) error {
+	fracs := experiments.Default(0).Fractions
 	for i := 0; i < n; i++ {
-		g, _, _, err := gen.HetTask(0.1 + 0.5*r.Float64())
+		g, _, _, err := gen.HetTask(fracs[r.Intn(len(fracs))])
 		if err != nil {
 			return err
 		}
@@ -139,18 +178,17 @@ func indices(from, to int) []int32 {
 	return s
 }
 
-// generateHot builds the hot set, hotVariants relabelings of each hot
-// graph, and zipfian warm-up and timed plans over them in which half the
-// ops send the original bytes and half a relabeling.
+// generateHot builds every client's hot set, hotVariants relabelings of
+// each hot graph, and the warm-up and timed plans over them.
 func (b *graphBench) generateHot(seed int64, r *rand.Rand) error {
 	gen, err := taskgen.New(taskgen.Small(8, 24), seed)
 	if err != nil {
 		return err
 	}
-	n := scaled(hotSet, b.scale)
+	tenants := scaled(hotTenants, b.scale)
 	forms := 1 + hotVariants
-	for i := 0; i < n; i++ {
-		g, _, _, err := gen.HetTask(0.1 + 0.5*r.Float64())
+	for i := 0; i < tenants*hotSet; i++ {
+		g, _, _, err := gen.HetTask(hotOffload)
 		if err != nil {
 			return err
 		}
@@ -170,16 +208,17 @@ func (b *graphBench) generateHot(seed int64, r *rand.Rand) error {
 			b.hotOf = append(b.hotOf, int32(i))
 		}
 	}
-	zipf := rand.NewZipf(r, hotZipfS, hotZipfV, uint64(n-1))
-	byRank := r.Perm(n) // popularity is independent of generation order
+	// A client's graphs rank in generation order, as in cmd/dagrtaload.
+	zipf := rand.NewZipf(r, hotZipfS, hotZipfV, hotSet-1)
 	draw := func(ops int) []int32 {
 		plan := make([]int32, ops)
 		for k := range plan {
+			g := r.Intn(tenants)*hotSet + int(zipf.Uint64())
 			form := 0
-			if r.Intn(2) == 1 {
+			if r.Intn(hotRepeatPct+hotIsoPct) < hotIsoPct {
 				form = 1 + r.Intn(hotVariants)
 			}
-			plan[k] = int32(byRank[zipf.Uint64()]*forms + form)
+			plan[k] = int32(g*forms + form)
 		}
 		return plan
 	}

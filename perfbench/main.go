@@ -111,6 +111,11 @@ type workload interface {
 	// inputs to h in a fixed order.
 	generate(seed int64, dir string, h hash.Hash) error
 	planLen() int
+	// wholePlan makes the timed phase run the whole plan, whatever
+	// --seconds says.
+	wholePlan() bool
+	// mix describes the plan generate built, in one line.
+	mix() string
 	// setUp builds a fresh service and brings it to steady state, warm-up
 	// ops included. traced makes it keep what replay needs.
 	setUp(ctx context.Context, dir string, traced bool) error
@@ -156,6 +161,7 @@ func bench(ctx context.Context, o options, out io.Writer) (*result, error) {
 	fmt.Fprintf(out, "env: workload=%s seed=%d nproc=%d gomaxprocs=%d go=%s race=%t cpu=%q inputs_sha256=%s plan_ops=%d\n",
 		o.workload, o.seed, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), raceEnabled,
 		cpuModel(), hex.EncodeToString(h.Sum(nil)), w.planLen())
+	fmt.Fprintln(out, "mix:", w.mix())
 
 	// The inputs stay resident; everything measured from here on is what
 	// set-up and the timed phase add to them.
@@ -166,6 +172,9 @@ func bench(ctx context.Context, o options, out io.Writer) (*result, error) {
 	}
 	liveBase := readUint64(mLiveHeap)
 	seconds := time.Duration(o.seconds * float64(time.Second))
+	if w.wholePlan() {
+		seconds = 0
+	}
 	if o.trace {
 		return traced(ctx, o, w, dir, seconds/2, liveBase, out)
 	}
@@ -173,7 +182,8 @@ func bench(ctx context.Context, o options, out io.Writer) (*result, error) {
 }
 
 func untraced(ctx context.Context, o options, w workload, dir string, seconds time.Duration, out io.Writer) (*result, error) {
-	var setupS []float64
+	var setupS, thrs, p50s, cpus, allocs []float64
+	attempted, failed := 0, 0
 	for k := 0; k < setups; k++ {
 		if k > 0 {
 			if err := w.tearDown(); err != nil {
@@ -186,12 +196,29 @@ func untraced(ctx context.Context, o options, w workload, dir string, seconds ti
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
 		setupS = append(setupS, time.Since(start).Seconds())
-	}
-	runtime.GC()
-	ph := runPhase(ctx, w, seconds, nil, false)
-	finFailed, err := w.finish(ctx)
-	if err != nil {
-		return nil, err
+		// A workload that runs its whole plan times it after every set-up
+		// and reports the median pass; the others time it once, after the
+		// last.
+		if k < setups-1 && !w.wholePlan() {
+			continue
+		}
+		runtime.GC()
+		ph := runPhase(ctx, w, seconds, nil, false)
+		finFailed, err := w.finish(ctx)
+		if err != nil {
+			return nil, err
+		}
+		name := o.workload
+		if w.wholePlan() {
+			name = fmt.Sprintf("%s (pass %d of %d)", o.workload, k+1, setups)
+		}
+		ph.report(out, name, w.common())
+		attempted += ph.ops
+		failed += ph.failed + finFailed
+		thr, cpu := ph.windowed()
+		thrs, cpus = append(thrs, thr), append(cpus, cpu)
+		p50s = append(p50s, float64(percentile(ph.sorted, 50))/1e3)
+		allocs = append(allocs, float64(ph.rt1.allocBytes-ph.rt0.allocBytes)/1024/float64(ph.ops))
 	}
 	rss, err := peakRSSMB()
 	if err != nil {
@@ -200,21 +227,17 @@ func untraced(ctx context.Context, o options, w workload, dir string, seconds ti
 	if err := w.tearDown(); err != nil {
 		return nil, err
 	}
-	ph.report(out, o.workload, w.common())
 	fmt.Fprintf(out, "setup_s per set-up: %v\n", setupS)
 
-	thr, cpu, p99 := ph.windowed()
 	m := map[string]metric{
 		"setup_s":          {median(setupS), "s"},
-		"throughput_ops_s": {thr, "ops/s"},
-		"latency_p50_us":   {float64(percentile(ph.sorted, 50)) / 1e3, "us"},
-		"latency_p99_us":   {p99 / 1e3, "us"},
-		"cpu_us_per_op":    {cpu, "us"},
-		"alloc_kb_per_op":  {float64(ph.rt1.allocBytes-ph.rt0.allocBytes) / 1024 / float64(ph.ops), "KB"},
+		"throughput_ops_s": {median(thrs), "ops/s"},
+		"latency_p50_us":   {median(p50s), "us"},
+		"cpu_us_per_op":    {median(cpus), "us"},
+		"alloc_kb_per_op":  {median(allocs), "KB"},
 		"peak_rss_mb":      {rss, "MB"},
 	}
-	failed := ph.failed + finFailed
-	return &result{Correct: failed == 0, Attempted: ph.ops, Failed: failed, Metrics: m}, nil
+	return &result{Correct: failed == 0, Attempted: attempted, Failed: failed, Metrics: m}, nil
 }
 
 // traced runs the plan twice, each time on a fresh set-up: untraced for
@@ -294,33 +317,30 @@ type mark struct {
 	at, cpu time.Duration
 }
 
-// windowOps is the op count of the windows the rate and tail metrics are
-// taken over. A burst of CPU steal or one long GC cycle then moves one
-// window, not the metric; each window's p99 still has ten samples beyond.
+// windowOps is the op count of the windows the rate metrics are taken
+// over. A burst of CPU steal or one long GC cycle then moves one window,
+// not the metric.
 const windowOps = 1000
 
-// windowed returns, over complete windows, the median throughput (ops/s),
-// the median CPU time per op (us) and the lower quartile of the windows'
-// p99 latencies (ns). Load from other tenants only ever adds latency, and
-// a p99 magnifies it: the quietest quarter of windows is what runs of one
-// program agree on. A phase shorter than one window reports its
-// whole-phase figures.
-func (p *phase) windowed() (thr, cpu, p99 float64) {
-	var thrs, cpus, p99s []float64
+// windowed returns, over complete windows, the median throughput (ops/s)
+// and the median CPU time per op (us). A phase shorter than one window
+// reports its whole-phase figures.
+func (p *phase) windowed() (thr, cpu float64) {
+	var thrs, cpus []float64
 	for k := 0; k+1 < len(p.marks); k++ {
 		a, b := p.marks[k], p.marks[k+1]
 		thrs = append(thrs, windowOps/(b.at-a.at).Seconds())
 		cpus = append(cpus, float64((b.cpu-a.cpu).Microseconds())/windowOps)
-		p99s = append(p99s, float64(percentile(sortedCopy(p.lat[k*windowOps:(k+1)*windowOps]), 99)))
 	}
 	if len(thrs) == 0 {
 		ops := float64(p.ops)
-		return ops / p.elapsed.Seconds(), float64(p.cpu.Microseconds()) / ops, float64(percentile(p.sorted, 99))
+		return ops / p.elapsed.Seconds(), float64(p.cpu.Microseconds()) / ops
 	}
-	return median(thrs), median(cpus), lowerQuartile(p99s)
+	return median(thrs), median(cpus)
 }
 
-// runPhase runs plan ops in order until the plan ends or the time is up.
+// runPhase runs plan ops in order until the plan ends or, for a positive
+// dur, the time is up.
 // Only exec is timed per op; the phase's wall time, CPU time and
 // allocation counters cover the whole loop, checks included. sampleHeap
 // reads the heap size every 32 ops for its peak.
@@ -334,7 +354,7 @@ func runPhase(ctx context.Context, w workload, dur time.Duration, tr *tracer, sa
 	p.rt0 = readRuntime()
 	start := time.Now()
 	deadline := start.Add(dur)
-	for i := 0; i < w.planLen() && time.Now().Before(deadline); i++ {
+	for i := 0; i < w.planLen() && (dur <= 0 || time.Now().Before(deadline)); i++ {
 		if i%windowOps == 0 {
 			p.marks = append(p.marks, mark{time.Since(start), cpuTime() - cpu0})
 		}
@@ -376,9 +396,10 @@ func runPhase(ctx context.Context, w workload, dur time.Duration, tr *tracer, sa
 // report prints the phase's human-readable summary: what the JSON line
 // cannot carry.
 func (p *phase) report(out io.Writer, name string, b *base) {
-	_, _, p99 := p.windowed()
-	fmt.Fprintf(out, "%s: %d ops in %.2fs, %d failed; p99 %.1fus (lower quartile of %d windows of %d ops) with %d of %d samples beyond it; cpu steal %d ticks during the timed phase\n",
-		name, p.ops, p.elapsed.Seconds(), p.failed, p99/1e3, max(0, len(p.marks)-1), windowOps, beyond(p.sorted, int64(p99)), len(p.sorted), p.steal)
+	p99 := percentile(p.sorted, 99)
+	hits, lookups := p.st1.Hits-p.st0.Hits, p.st1.Hits+p.st1.Misses-p.st0.Hits-p.st0.Misses
+	fmt.Fprintf(out, "%s: %d ops in %.2fs, %d failed, %d of %d cache lookups hit; p99 %.1fus with %d of %d samples beyond it; cpu steal %d ticks during the timed phase\n",
+		name, p.ops, p.elapsed.Seconds(), p.failed, hits, lookups, float64(p99)/1e3, beyond(p.sorted, p99), len(p.sorted), p.steal)
 	if p.firstErr != nil {
 		fmt.Fprintln(out, "first failure:", p.firstErr)
 	}

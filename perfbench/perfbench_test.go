@@ -69,23 +69,20 @@ func TestPercentile(t *testing.T) {
 
 func TestSelfTimes(t *testing.T) {
 	spans := []span{
-		{start: 0, end: 100, parent: -1},                // 0: op
-		{start: 10, end: 30, parent: 0},                 // 1: nested
-		{start: 20, end: 50, parent: 0},                 // 2: nested, overlaps 1
-		{start: 90, end: 120, parent: 0},                // 3: nested, runs past its parent
-		{start: 60, end: 80, parent: 0},                 // 4: the call
-		{start: 130, end: 135, parent: 4, beside: true}, // 5: replayed stage of the call
-		{start: 140, end: 150, parent: 4, beside: true}, // 6: another
+		{start: 0, end: 150, parent: -1, layer: lOp},
+		{start: 10, end: 30, parent: 0, layer: lDecode},
+		{start: 30, end: 50, parent: 0, layer: lFingerprint},
+		{start: 60, end: 80, parent: 0, layer: lCall},
+		{start: 90, end: 95, parent: 3, layer: lBound, beside: true},   // replayed stage of the call
+		{start: 100, end: 110, parent: 3, layer: lBound, beside: true}, // another
 	}
 	got := selfTimes(spans)
-	// op: 100 − union([10,50], [60,80], [90,100]) = 100 − 70.
-	want := []int64{30, 20, 30, 30, 5, 5, 10}
+	// op: 150 − 3×20; call: 20 − 5 − 10.
+	want := []int64{90, 20, 20, 5, 5, 10}
 	if !slices.Equal(got, want) {
 		t.Errorf("selfTimes = %v, want %v", got, want)
 	}
 
-	spans[0].layer, spans[1].layer, spans[2].layer, spans[3].layer = lOp, lDecode, lFingerprint, lAnalyze
-	spans[4].layer, spans[5].layer, spans[6].layer = lCall, lBound, lBound
 	ops := perOp(spans)
 	if len(ops) != 1 {
 		t.Fatalf("perOp found %d ops, want 1", len(ops))
@@ -96,30 +93,21 @@ func TestSelfTimes(t *testing.T) {
 			o.dur[lBound], o.spans[lBound], o.self[lCall], o.region)
 	}
 	a := attribute(ops, 0.1)
-	if math.Abs(a.sum*1e3-(20+30+15+5)) > 1e-9 {
+	if math.Abs(a.sum*1e3-(20+20+15+5)) > 1e-9 {
 		t.Errorf("attribution sums to %v us, want the decode, fingerprint, bounds and service.self medians", a.sum)
 	}
 }
 
 func TestWindowed(t *testing.T) {
 	p := phase{ops: 2500, elapsed: 3 * time.Second, cpu: 2 * time.Second}
-	for i := 0; i < p.ops; i++ {
-		p.lat = append(p.lat, int64(i%windowOps)) // each window: 0, 1, ..., 999
-	}
-	p.lat[windowOps] = 1e9 // one burst in the second window
-	p.sorted = sortedCopy(p.lat)
 	p.marks = []mark{{0, 0}, {time.Second, 500 * time.Millisecond}, {4 * time.Second, time.Second}}
-	thr, cpu, p99 := p.windowed()
-	// Two complete windows: 1000 ops in 1s and in 3s, each with 500ms of
-	// CPU; p99 989 and, with the burst as the largest value, 990.
-	if thr != (1000+1000.0/3)/2 || cpu != 500 || p99 != 989 {
-		t.Errorf("windowed = %v ops/s, %v us/op, p99 %v; want %v, 500, 989", thr, cpu, p99, (1000+1000.0/3)/2)
-	}
-	if got := lowerQuartile([]float64{40, 10, 30, 20, 50}); got != 20 {
-		t.Errorf("lowerQuartile = %v, want 20", got)
+	thr, cpu := p.windowed()
+	// Two complete windows: 1000 ops in 1s and in 3s, each with 500ms of CPU.
+	if thr != (1000+1000.0/3)/2 || cpu != 500 {
+		t.Errorf("windowed = %v ops/s, %v us/op; want %v, 500", thr, cpu, (1000+1000.0/3)/2)
 	}
 	p.marks = p.marks[:1]
-	if thr, _, _ := p.windowed(); thr != 2500.0/3 {
+	if thr, _ := p.windowed(); thr != 2500.0/3 {
 		t.Errorf("without a complete window, throughput = %v, want the phase's %v", thr, 2500.0/3)
 	}
 }

@@ -53,14 +53,3 @@ func medianInt(xs []int64) float64 {
 	}
 	return median(f)
 }
-
-// lowerQuartile is the nearest-rank 25th percentile of xs; 0 for an empty
-// sample.
-func lowerQuartile(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := slices.Clone(xs)
-	slices.Sort(s)
-	return s[max(0, int(math.Ceil(0.25*float64(len(s))))-1)]
-}

@@ -165,48 +165,18 @@ func (t *tracer) endCount(id int32, n int64) {
 	t.spans[id].count = n
 }
 
-// selfTimes returns each span's duration minus its children's share: the
-// part of its interval that nested children cover (overlaps counted once),
-// plus the whole duration of every beside child.
+// selfTimes returns each span's duration minus the durations of its
+// children. A tracer opens the spans of one op one after another, so the
+// children of a span never overlap; a beside child is subtracted whole
+// although it ran after its parent, because it repeats work done inside.
 func selfTimes(spans []span) []int64 {
 	self := make([]int64, len(spans))
-	type iv struct {
-		parent     int32
-		start, end int64
-	}
-	var nested []iv
 	for i, sp := range spans {
-		self[i] += sp.end - sp.start
-		if sp.parent < 0 {
-			continue
+		d := sp.end - sp.start
+		self[i] += d
+		if sp.parent >= 0 {
+			self[sp.parent] -= d
 		}
-		if sp.beside {
-			self[sp.parent] -= sp.end - sp.start
-			continue
-		}
-		p := spans[sp.parent]
-		if s, e := max(sp.start, p.start), min(sp.end, p.end); e > s {
-			nested = append(nested, iv{sp.parent, s, e})
-		}
-	}
-	slices.SortFunc(nested, func(a, b iv) int {
-		if a.parent != b.parent {
-			return int(a.parent - b.parent)
-		}
-		return int(a.start - b.start)
-	})
-	for i := 0; i < len(nested); {
-		p, s, e := nested[i].parent, nested[i].start, nested[i].end
-		var covered int64
-		for i++; i < len(nested) && nested[i].parent == p; i++ {
-			if nested[i].start > e {
-				covered += e - s
-				s, e = nested[i].start, nested[i].end
-			} else {
-				e = max(e, nested[i].end)
-			}
-		}
-		self[p] -= covered + e - s
 	}
 	return self
 }
