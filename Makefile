@@ -10,13 +10,14 @@ HETRTALINT := $(BIN)/hetrtalint
 STATICCHECK_VERSION := 2025.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: all lint test bench serve chaos fmt vet vettool staticcheck govulncheck tools clean
+.PHONY: all lint test bench serve chaos fmt vet vettool orphans staticcheck govulncheck tools clean
 
 all: lint test
 
-# --- lint: gofmt + vet + vettool + staticcheck, identical to the CI lint job.
+# --- lint: gofmt + vet + vettool + orphans + staticcheck, identical to the
+# CI lint job.
 
-lint: fmt vet vettool staticcheck govulncheck
+lint: fmt vet vettool orphans staticcheck govulncheck
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -37,6 +38,11 @@ $(HETRTALINT): FORCE
 	$(GO) build -o $(HETRTALINT) ./cmd/hetrtalint
 
 FORCE:
+
+# Every internal package must have a production importer (test-only
+# helpers are allow-listed in the script).
+orphans:
+	GO=$(GO) ./scripts/check_orphans.sh
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \

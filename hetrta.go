@@ -15,7 +15,8 @@
 //   - a discrete-event work-conserving scheduler simulator (GOMP-like
 //     breadth-first and other policies) on any mix of resource classes;
 //   - an exact minimum-makespan oracle (branch and bound; the paper used
-//     CPLEX) plus a from-scratch LP/MILP time-indexed formulation;
+//     CPLEX), checked in its tests against an exhaustive serial
+//     schedule-generation oracle on small graphs;
 //   - the random task generator of the paper's evaluation and harnesses
 //     regenerating every figure (see cmd/experiments), including a
 //     multi-offload × device-class sweep beyond the paper.
@@ -192,8 +193,9 @@ type ExactResult = exact.Result
 type ExactOptions = exact.Options
 
 // MinMakespanContext computes the minimum makespan of g on p (the quantity
-// the paper obtains from CPLEX), proving optimality when the budget
-// allows, and aborting promptly with ctx's error when the context is
+// the paper obtains from CPLEX; cross-checked against an exhaustive
+// serial-SGS oracle on graphs of up to 8 nodes), proving optimality when
+// the budget allows, and aborting promptly with ctx's error when the context is
 // cancelled mid-search.
 func MinMakespanContext(ctx context.Context, g *Graph, p Platform, opts ExactOptions) (*ExactResult, error) {
 	return exact.MinMakespan(ctx, g, p, opts)

@@ -28,7 +28,8 @@
 // with est < t* are branched. Every active schedule — and for a regular
 // objective like makespan some active schedule is optimal — is still
 // reachable. The restriction is cross-validated against unrestricted
-// search and against the independent ILP oracle in the tests; set
+// search and against an independent exhaustive oracle in the tests (the
+// serial SGS over every precedence-feasible order, n ≤ 8); set
 // Options.Unrestricted to disable it.
 //
 // The search further uses critical-path and per-class workload lower

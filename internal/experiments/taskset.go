@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	hetrta "repro"
 	"repro/internal/batch"
 	"repro/internal/platform"
 	"repro/internal/table"
@@ -154,18 +155,28 @@ type TasksetResult struct {
 // offload share) combination it draws SetsPerPoint base tasksets (DAGs +
 // UUniFast utilization weights), rescales each across the utilization grid,
 // and admits every scaled instance with the federated and global policies.
-// Policies run directly on the shared policy layer with one TaskEval per
-// task built once per base set — the platform-independent work (reduction,
-// Algorithm 1) is identical across the utilization grid, so rebuilding it
-// per point (as going through TasksetAnalyzer.Admit would) is pure waste;
-// the bound semantics are the same (minimum over Rhom-where-safe / Rhet /
-// TypedRhom). A set counts as accepted at point u if the policy admits it
+// Policies run directly on the shared policy layer with one
+// TasksetAnalyzer eval handle per task built once per base set — the
+// platform-independent work (reduction, Algorithm 1) is identical across
+// the utilization grid, so rebuilding it per point (as going through
+// TasksetAnalyzer.Admit would) is pure waste; each probe takes the minimum
+// over the admission-safe bounds among Rhom, Rhet and TypedRhom. A set
+// counts as accepted at point u if the policy admits it
 // at u and every lower point (its frontier), so each curve is
 // monotonically non-increasing by construction. Combinations fan out on
 // the batch pool; per-set seeding keeps results bit-identical at any
 // parallelism.
 func TasksetSweep(ctx context.Context, cfg TasksetConfig) (*TasksetResult, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	an, err := hetrta.NewAnalyzer(hetrta.WithPlatform(cfg.Platform),
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()))
+	if err != nil {
+		return nil, err
+	}
+	ta, err := hetrta.NewTasksetAnalyzer(an)
+	if err != nil {
 		return nil, err
 	}
 	pols := []taskset.Policy{taskset.FederatedPolicy(), taskset.GlobalPolicy()}
@@ -194,7 +205,7 @@ func TasksetSweep(ctx context.Context, cfg TasksetConfig) (*TasksetResult, error
 	}
 
 	m := float64(cfg.Platform.Cores())
-	err := batch.Run(ctx, len(combos), cfg.Parallelism, func(ctx context.Context, ci int) error {
+	err = batch.Run(ctx, len(combos), cfg.Parallelism, func(ctx context.Context, ci int) error {
 		cb := combos[ci]
 		for set := 0; set < cfg.SetsPerPoint; set++ {
 			if err := ctx.Err(); err != nil {
@@ -215,7 +226,9 @@ func TasksetSweep(ctx context.Context, cfg TasksetConfig) (*TasksetResult, error
 			evals := make([]taskset.TaskEval, cb.n)
 			for i, tk := range base.Tasks {
 				weights[i] = tk.Utilization()
-				evals[i] = taskset.NewRTAEval(tk.G)
+				if evals[i], err = ta.PrepareTaskEval(tk.G); err != nil {
+					return fmt.Errorf("taskset sweep (n=%d share=%v): %w", cb.n, cb.share, err)
+				}
 			}
 
 			alive := make([]bool, len(policies))

@@ -98,6 +98,45 @@ func TestAdmitDeltaByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAdmitDeltaAnchorTracksSet: along a chain of update events, each
+// resulting entry anchors the eval handles of its own tasks only — an
+// update's replaced handle is dropped, so the anchor map never holds more
+// handles than the set has distinct digests.
+func TestAdmitDeltaAnchorTracksSet(t *testing.T) {
+	ctx := context.Background()
+	svc := admitService(t, Options{})
+	tasks := []hetrta.SporadicTask{
+		deltaChain(2, 8, 60, 50), deltaChain(1, 4, 40, 40), deltaChain(3, 6, 80, 70),
+	}
+	res, err := svc.Admit(ctx, hetrta.Taskset{Tasks: tasks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 12; step++ {
+		i := step % len(tasks)
+		old := tasks[i]
+		tasks[i] = hetrta.SporadicTask{G: old.G, Period: old.Period + 1, Deadline: old.Deadline}
+		res, err = svc.AdmitDelta(ctx, res.Fingerprint, hetrta.TasksetDelta{
+			Update: []hetrta.TaskDeltaUpdate{{Old: old.Digest(), Task: tasks[i]}},
+		})
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		ent, ok := svc.lookup(svc.admitKeyOf(res.Fingerprint))
+		if !ok {
+			t.Fatalf("step %d: resulting set not anchored", step)
+		}
+		distinct := map[hetrta.TaskDigest]bool{}
+		for _, dg := range ent.digests {
+			distinct[dg] = true
+		}
+		if len(ent.evals) > len(distinct) {
+			t.Fatalf("step %d: anchor holds %d eval handles for %d distinct tasks",
+				step, len(ent.evals), len(distinct))
+		}
+	}
+}
+
 // TestAdmitDeltaEmptyDeltaHits: an empty delta resolves to the base itself
 // and is served its cached bytes.
 func TestAdmitDeltaEmptyDeltaHits(t *testing.T) {

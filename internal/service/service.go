@@ -622,15 +622,15 @@ func (s *Service) AdmitDelta(ctx context.Context, base hetrta.TasksetFingerprint
 	// slice, the fingerprint needs no second sort, and the analyzer's own
 	// canonical pass below becomes the identity.
 	ts, ds = ts.CanonicalWithGivenDigests(ds)
-	// Carry the base entry's eval handles forward (minus removals), so the
-	// admission resolves surviving tasks without touching the eval cache.
+	// Carry forward the base entry's handles of the surviving tasks only,
+	// so the admission resolves them without touching the eval cache and
+	// the anchor map never outgrows the set (removed and replaced tasks
+	// drop out).
 	evals := make(map[hetrta.TaskDigest]*hetrta.TaskEvalHandle, len(ds))
-	//lint:ordered map copy: the destination is a map, so insert order is immaterial
-	for dg, h := range ent.evals {
-		evals[dg] = h
-	}
-	for _, rd := range delta.Remove {
-		delete(evals, rd)
+	for _, dg := range ds {
+		if h, ok := ent.evals[dg]; ok {
+			evals[dg] = h
+		}
 	}
 	// The resulting fingerprint falls out of the digest bookkeeping: only
 	// tasks the delta introduced were hashed, never the resident base.

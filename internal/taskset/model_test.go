@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	hetrta "repro"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/taskgen"
@@ -27,10 +28,25 @@ func mkSporadic(t testing.TB, seed int64, frac, u float64) taskset.SporadicTask 
 	return taskset.SporadicTask{G: g, Period: period, Deadline: period}
 }
 
-func evalsFor(ts taskset.Taskset) []taskset.TaskEval {
+// evalsFor prepares one TasksetAnalyzer eval handle per task, bounded by
+// Rhom, Rhet and TypedRhom — the evals the acceptance-ratio sweep uses.
+// Policies probe the handles on their own platform shapes.
+func evalsFor(tb testing.TB, ts taskset.Taskset) []taskset.TaskEval {
+	tb.Helper()
+	an, err := hetrta.NewAnalyzer(
+		hetrta.WithBounds(hetrta.RhomBound(), hetrta.RhetBound(), hetrta.TypedRhomBound()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ta, err := hetrta.NewTasksetAnalyzer(an)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	evals := make([]taskset.TaskEval, len(ts.Tasks))
 	for i, t := range ts.Tasks {
-		evals[i] = taskset.NewRTAEval(t.G)
+		if evals[i], err = ta.PrepareTaskEval(t.G); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return evals
 }
@@ -129,7 +145,7 @@ func TestGlobalAdmitsLowUtilization(t *testing.T) {
 		mkSporadic(t, 13, 0.1, 0.1),
 	}}
 	res, err := taskset.GlobalPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts, Platform: platform.Hetero(8), Evals: evalsFor(ts)})
+		taskset.AdmitInput{Set: ts, Platform: platform.Hetero(8), Evals: evalsFor(t, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +171,7 @@ func TestGlobalRejectsOverload(t *testing.T) {
 		ts.Tasks = append(ts.Tasks, mkSporadic(t, 20+s, 0.2, 0.8))
 	}
 	res, err := taskset.GlobalPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts, Platform: platform.Hetero(2), Evals: evalsFor(ts)})
+		taskset.AdmitInput{Set: ts, Platform: platform.Hetero(2), Evals: evalsFor(t, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +205,7 @@ func TestGlobalMonotoneInScaling(t *testing.T) {
 			ts.Tasks[i] = taskset.SporadicTask{G: tk.G, Period: tp, Deadline: tp}
 		}
 		res, err := taskset.GlobalPolicy().Admit(context.Background(),
-			taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(ts)})
+			taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(t, ts)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +240,7 @@ func TestGlobalJitterHurts(t *testing.T) {
 			}
 		}
 		res, err := taskset.GlobalPolicy().Admit(context.Background(),
-			taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(ts)})
+			taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(t, ts)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +269,7 @@ func TestFederatedPolicyJitter(t *testing.T) {
 	}{{0, true}, {10, false}} {
 		ts := mk(tc.jitter)
 		res, err := taskset.FederatedPolicy().Admit(context.Background(),
-			taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(ts)})
+			taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(t, ts)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +287,7 @@ func TestPoliciesReportEveryTask(t *testing.T) {
 		mkSporadic(t, 52, 0.3, 1.5), // heavy
 		mkSporadic(t, 53, 0.1, 0.3),
 	}}
-	in := taskset.AdmitInput{Set: ts, Platform: platform.Hetero(8), Evals: evalsFor(ts)}
+	in := taskset.AdmitInput{Set: ts, Platform: platform.Hetero(8), Evals: evalsFor(t, ts)}
 	for _, pol := range []taskset.Policy{taskset.FederatedPolicy(), taskset.GlobalPolicy()} {
 		res, err := pol.Admit(context.Background(), in)
 		if err != nil {
@@ -308,7 +324,7 @@ func TestGlobalDeviceSerializationSound(t *testing.T) {
 	}
 	ts := taskset.Taskset{Tasks: []taskset.SporadicTask{mk(500), mk(620)}}
 	res, err := taskset.GlobalPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts, Platform: platform.Hetero(4), Evals: evalsFor(ts)})
+		taskset.AdmitInput{Set: ts, Platform: platform.Hetero(4), Evals: evalsFor(t, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +348,7 @@ func TestGlobalDeviceSerializationSound(t *testing.T) {
 		platform.ResourceClass{Name: "dev", Count: 2},
 	)
 	res2, err := taskset.GlobalPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts, Platform: p2, Evals: evalsFor(ts)})
+		taskset.AdmitInput{Set: ts, Platform: p2, Evals: evalsFor(t, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +368,7 @@ func TestFederatedLightDensityPacking(t *testing.T) {
 	}
 	ts := taskset.Taskset{Tasks: []taskset.SporadicTask{mk(), mk()}}
 	res, err := taskset.FederatedPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts, Platform: platform.Homogeneous(1), Evals: evalsFor(ts)})
+		taskset.AdmitInput{Set: ts, Platform: platform.Homogeneous(1), Evals: evalsFor(t, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +377,7 @@ func TestFederatedLightDensityPacking(t *testing.T) {
 	}
 	// On two cores, one task per core fits.
 	res2, err := taskset.FederatedPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts, Platform: platform.Homogeneous(2), Evals: evalsFor(ts)})
+		taskset.AdmitInput{Set: ts, Platform: platform.Homogeneous(2), Evals: evalsFor(t, ts)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +393,7 @@ func TestFederatedLightDensityPacking(t *testing.T) {
 	}
 	ts3 := taskset.Taskset{Tasks: []taskset.SporadicTask{mk06(), mk06(), mk06()}}
 	res3, err := taskset.FederatedPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts3, Platform: platform.Homogeneous(2), Evals: evalsFor(ts3)})
+		taskset.AdmitInput{Set: ts3, Platform: platform.Homogeneous(2), Evals: evalsFor(t, ts3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +413,7 @@ func TestFederatedLightDensityPacking(t *testing.T) {
 	}
 	ts4 := taskset.Taskset{Tasks: []taskset.SporadicTask{heavy(), mk(), mk()}}
 	res4, err := taskset.FederatedPolicy().Admit(context.Background(),
-		taskset.AdmitInput{Set: ts4, Platform: platform.Homogeneous(1), Evals: evalsFor(ts4)})
+		taskset.AdmitInput{Set: ts4, Platform: platform.Homogeneous(1), Evals: evalsFor(t, ts4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,9 @@ package taskset
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 
 	"repro/internal/dag"
 	"repro/internal/platform"
-	"repro/internal/rta"
-	"repro/internal/transform"
 )
 
 // ErrNoSafeBound is wrapped by TaskEval.Bound when no safe analysis applies
@@ -129,93 +125,6 @@ type Policy interface {
 	Admit(ctx context.Context, in AdmitInput) (*PolicyResult, error)
 }
 
-// rtaEval is the default TaskEval used by the legacy Allocate wrapper, the
-// acceptance-ratio sweep, and anyone without a facade analyzer: the minimum
-// over Rhom (offloaded work as host work, where safe — see RhomSafeFor and
-// DESIGN.md §4.3), Rhet (single-offload tasks whose device class has a
-// machine), and TypedRhom (when every populated class has a machine).
-// Platform-independent work (transitive reduction, Algorithm 1) is computed
-// once and reused across Bound calls.
-//
-// The applicability conditions here deliberately mirror the Skipped
-// conditions of the facade's pluggable bounds (bounds.go: rhetBound /
-// typedRhomBound) — the facade's facadeEval evaluates those and this type
-// hand-inlines them, because this package sits below the facade and cannot
-// import its Bound set. A change to either side's applicability rules must
-// be mirrored in the other, or legacy Allocate and the facade diverge.
-type rtaEval struct {
-	work  *dag.Graph
-	multi *transform.MultiResult
-	err   error
-}
-
-// PrepareDAG clones and transitively reduces g and computes the iterated
-// Algorithm 1 transformation when offloaded nodes exist — the
-// platform-independent prefix shared by every TaskEval implementation
-// (rtaEval here, the facade's bound-set eval in the root package). multi
-// is nil for homogeneous graphs.
-func PrepareDAG(g *dag.Graph) (work *dag.Graph, multi *transform.MultiResult, err error) {
-	if g == nil {
-		return nil, nil, fmt.Errorf("taskset: nil graph")
-	}
-	work = g.Clone()
-	if _, err := work.TransitiveReduction(); err != nil {
-		return nil, nil, err
-	}
-	if len(work.OffloadNodes()) > 0 {
-		multi, err = transform.All(work)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return work, multi, nil
-}
-
-// NewRTAEval builds the default TaskEval for g. The graph is cloned and
-// transitively reduced once; the transformation is computed once.
-func NewRTAEval(g *dag.Graph) TaskEval {
-	e := &rtaEval{}
-	e.work, e.multi, e.err = PrepareDAG(g)
-	return e
-}
-
-func (e *rtaEval) Bound(ctx context.Context, p platform.Platform) (float64, error) {
-	if e.err != nil {
-		return 0, e.err
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if p.Cores() < 1 {
-		return 0, fmt.Errorf("taskset: bound on %v: no host cores", p)
-	}
-	best := math.Inf(1)
-	if AdmissionSafe("rhom", e.work, p) {
-		best = rta.Rhom(e.work, p)
-	}
-	if e.multi != nil && len(e.multi.Steps) == 1 {
-		step := e.multi.Steps[0]
-		if p.Count(e.work.Class(step.Offload)) >= 1 {
-			het, err := rta.Rhet(step, p)
-			if err != nil {
-				return 0, err
-			}
-			best = math.Min(best, het.R)
-		}
-	}
-	if typedApplies(e.work, p) {
-		v, err := rta.TypedRhom(e.work, p)
-		if err != nil {
-			return 0, err
-		}
-		best = math.Min(best, v)
-	}
-	if math.IsInf(best, 1) {
-		return 0, fmt.Errorf("taskset: %w on %v", ErrNoSafeBound, p)
-	}
-	return best, nil
-}
-
 // RhomSafeFor reports whether the homogeneous bound Rhom is a safe
 // response-time bound for g executing on p. It is safe on the paper's
 // model (at most one offload node — the device then never serializes
@@ -233,20 +142,6 @@ func RhomSafeFor(g *dag.Graph, p platform.Platform) bool {
 	}
 	for _, v := range offs {
 		if p.Count(g.Class(v)) >= 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// typedApplies reports whether every resource-consuming node's class has a
-// machine on p, the applicability condition of TypedRhom.
-func typedApplies(g *dag.Graph, p platform.Platform) bool {
-	for n := range g.EachNode() {
-		if n.Kind == dag.Sync && n.WCET == 0 {
-			continue
-		}
-		if p.Count(n.Class) < 1 {
 			return false
 		}
 	}

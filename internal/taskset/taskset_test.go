@@ -1,8 +1,11 @@
 package taskset_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	hetrta "repro"
 	"repro/internal/dag"
 	"repro/internal/platform"
 	"repro/internal/rta"
@@ -26,14 +29,34 @@ func mkTask(t testing.TB, seed int64, frac, slack float64) rta.Task {
 	return rta.Task{G: g, Period: d, Deadline: d}
 }
 
+// federate runs the Federated policy over p on tasks, in the given order.
+func federate(t testing.TB, p platform.Platform, tasks ...rta.Task) *taskset.PolicyResult {
+	t.Helper()
+	ts := taskset.Taskset{Tasks: make([]taskset.SporadicTask, len(tasks))}
+	for i, tk := range tasks {
+		ts.Tasks[i] = taskset.SporadicTask{G: tk.G, Period: tk.Period, Deadline: tk.Deadline}
+	}
+	res, err := taskset.FederatedPolicy().Admit(context.Background(),
+		taskset.AdmitInput{Set: ts, Platform: p, Evals: evalsFor(t, ts)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustFederate is federate for task systems the policy must admit.
+func mustFederate(t testing.TB, p platform.Platform, tasks ...rta.Task) *taskset.PolicyResult {
+	t.Helper()
+	res := federate(t, p, tasks...)
+	if !res.Admitted {
+		t.Fatalf("federated policy rejected the system: %s", res.Reason)
+	}
+	return res
+}
+
 func TestAllocateSingleHeavyTask(t *testing.T) {
 	tk := mkTask(t, 1, 0.3, 0.5) // deadline = vol/2 → heavy (U = 2)
-	sys := taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Hetero(16)}
-	alloc, err := taskset.Allocate(sys)
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
-	g := alloc.Grants[0]
+	g := mustFederate(t, platform.Hetero(16), tk).Tasks[0]
 	if !g.Heavy {
 		t.Fatal("task with U=2 not marked heavy")
 	}
@@ -63,10 +86,7 @@ func TestAllocateLightTasksShareCores(t *testing.T) {
 	for s := int64(0); s < 3; s++ {
 		tasks = append(tasks, mkTask(t, 10+s, 0.2, 4))
 	}
-	alloc, err := taskset.Allocate(taskset.System{Tasks: tasks, Platform: platform.Hetero(2)})
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
+	alloc := mustFederate(t, platform.Hetero(2), tasks...)
 	if alloc.DedicatedCores != 0 {
 		t.Fatalf("light-only system granted %d dedicated cores", alloc.DedicatedCores)
 	}
@@ -82,8 +102,7 @@ func TestAllocateRejectsOverload(t *testing.T) {
 	b := g.AddNode("", 50, dag.Host)
 	g.MustAddEdge(a, b)
 	tk := rta.Task{G: g, Period: 60, Deadline: 60} // len = 100 > 60
-	_, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Hetero(64)})
-	if err == nil {
+	if federate(t, platform.Hetero(64), tk).Admitted {
 		t.Fatal("admitted task with deadline below critical path")
 	}
 }
@@ -92,8 +111,7 @@ func TestAllocateRejectsTooFewCores(t *testing.T) {
 	// Two heavy tasks each needing several cores on a tiny platform.
 	t1 := mkTask(t, 21, 0.1, 0.4)
 	t2 := mkTask(t, 22, 0.1, 0.4)
-	_, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{t1, t2}, Platform: platform.Hetero(2)})
-	if err == nil {
+	if federate(t, platform.Hetero(2), t1, t2).Admitted {
 		t.Fatal("admitted two heavy tasks on 2 cores")
 	}
 }
@@ -102,12 +120,8 @@ func TestDeviceBudgetRespected(t *testing.T) {
 	// Two heavy offloading tasks, one device: at most one grant may use it.
 	t1 := mkTask(t, 31, 0.4, 0.6)
 	t2 := mkTask(t, 32, 0.4, 0.6)
-	alloc, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{t1, t2}, Platform: platform.Hetero(64)})
-	if err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
 	used := 0
-	for _, g := range alloc.Grants {
+	for _, g := range mustFederate(t, platform.Hetero(64), t1, t2).Tasks {
 		if g.UsesDevice {
 			used++
 		}
@@ -116,12 +130,9 @@ func TestDeviceBudgetRespected(t *testing.T) {
 		t.Fatalf("%d grants use the single device", used)
 	}
 	// With two devices both may use one.
-	alloc2, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{t1, t2}, Platform: platform.New(platform.ResourceClass{Name: "host", Count: 64}, platform.ResourceClass{Name: "dev", Count: 2})})
-	if err != nil {
-		t.Fatal(err)
-	}
+	twoDev := platform.New(platform.ResourceClass{Name: "host", Count: 64}, platform.ResourceClass{Name: "dev", Count: 2})
 	used2 := 0
-	for _, g := range alloc2.Grants {
+	for _, g := range mustFederate(t, twoDev, t1, t2).Tasks {
 		if g.UsesDevice {
 			used2++
 		}
@@ -135,27 +146,29 @@ func TestHetAnalysisSavesCores(t *testing.T) {
 	// A task whose offloaded share is large: the heterogeneous analysis
 	// should need no more dedicated cores than the homogeneous one.
 	tk := mkTask(t, 41, 0.5, 0.7)
-	withDev, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Hetero(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withoutDev, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{tk}, Platform: platform.Homogeneous(64)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withDev.Grants[0].Cores > withoutDev.Grants[0].Cores {
+	withDev := mustFederate(t, platform.Hetero(64), tk).Tasks[0]
+	withoutDev := mustFederate(t, platform.Homogeneous(64), tk).Tasks[0]
+	if withDev.Cores > withoutDev.Cores {
 		t.Fatalf("device-aware grant %d cores > homogeneous grant %d cores",
-			withDev.Grants[0].Cores, withoutDev.Grants[0].Cores)
+			withDev.Cores, withoutDev.Cores)
 	}
 }
 
 func TestAllocateValidatesInput(t *testing.T) {
-	if _, err := taskset.Allocate(taskset.System{}); err == nil {
+	if _, err := hetrta.NewAnalyzer(hetrta.WithPlatform(platform.Platform{})); err == nil {
 		t.Fatal("accepted 0-core platform")
 	}
-	bad := rta.Task{G: nil, Period: 1, Deadline: 1}
-	if _, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{bad}, Platform: platform.Homogeneous(4)}); err == nil {
-		t.Fatal("accepted nil-graph task")
+	an, err := hetrta.NewAnalyzer(hetrta.WithPlatform(platform.Homogeneous(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta, err := hetrta.NewTasksetAnalyzer(an, hetrta.WithTasksetPolicies(hetrta.FederatedPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := taskset.Taskset{Tasks: []taskset.SporadicTask{{G: nil, Period: 1, Deadline: 1}}}
+	if _, err := ta.Admit(context.Background(), bad); !errors.Is(err, hetrta.ErrInvalidInput) {
+		t.Fatalf("nil-graph task: err = %v, want ErrInvalidInput", err)
 	}
 }
 
@@ -212,12 +225,8 @@ func TestDeviceBudgetIsPerClass(t *testing.T) {
 	)
 	// Two GPU tasks + one FPGA task: exactly one task may hold the gpu and
 	// one the fpga; the remaining GPU task must fall back to Rhom.
-	alloc, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{mkTask(1), mkTask(1), mkTask(2)}, Platform: p})
-	if err != nil {
-		t.Fatal(err)
-	}
 	gpuUsers, fpgaUsers := 0, 0
-	for _, g := range alloc.Grants {
+	for _, g := range mustFederate(t, p, mkTask(1), mkTask(1), mkTask(2)).Tasks {
 		if !g.UsesDevice {
 			continue
 		}
@@ -240,11 +249,7 @@ func TestDeviceBudgetIsPerClass(t *testing.T) {
 		platform.ResourceClass{Name: "host", Count: 64},
 		platform.ResourceClass{Name: "gpu", Count: 1},
 	)
-	alloc2, err := taskset.Allocate(taskset.System{Tasks: []rta.Task{mkTask(2)}, Platform: noFpga})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if alloc2.Grants[0].UsesDevice {
+	if mustFederate(t, noFpga, mkTask(2)).Tasks[0].UsesDevice {
 		t.Error("task granted a device of a class the platform lacks")
 	}
 }

@@ -287,14 +287,27 @@ type facadeEval struct {
 	multi *MultiTransformation
 }
 
+// newFacadeEval clones and transitively reduces g and computes the
+// iterated Algorithm 1 transformation when offloaded nodes exist — the
+// platform-independent prefix every Bound call shares.
 func newFacadeEval(an *Analyzer, g *Graph) (*facadeEval, error) {
-	work, multi, err := taskset.PrepareDAG(g)
-	if err != nil {
+	if g == nil {
+		return nil, fmt.Errorf("taskset: nil graph")
+	}
+	work := g.Clone()
+	if _, err := work.TransitiveReduction(); err != nil {
 		return nil, err
 	}
-	e := &facadeEval{an: an, work: work, multi: multi}
-	if multi != nil && len(multi.Steps) == 1 {
-		e.tr = multi.Steps[0]
+	e := &facadeEval{an: an, work: work}
+	if len(work.OffloadNodes()) > 0 {
+		multi, err := TransformAll(work)
+		if err != nil {
+			return nil, err
+		}
+		e.multi = multi
+		if len(multi.Steps) == 1 {
+			e.tr = multi.Steps[0]
+		}
 	}
 	return e, nil
 }
